@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-full bench-smoke bench-baseline bench-shard bench-shard-smoke bench-wire bench-wire-smoke bench-fanout bench-fanout-smoke bench-xring bench-xring-smoke chaos chaos-xring obs-smoke soak-smoke
+.PHONY: ci vet build test race race-full bench-smoke bench-baseline bench-shard bench-shard-smoke bench-wire bench-wire-smoke bench-fanout bench-fanout-smoke bench-xring bench-xring-smoke perf perf-smoke chaos chaos-xring obs-smoke soak-smoke
 
 ci: vet build test race
 
@@ -75,12 +75,13 @@ bench-fanout-smoke:
 # daemons — single-ring split baseline (the PR 4 shape) vs the 2-shard
 # merged path (merge overhead is the per-message delta), plus the live
 # migration blackout window (ns/op of one Migrate round trip with
-# traffic in flight). Recorded in results/BENCH_xring.json (+ raw text).
-# Commit the JSON when the merge or migration path changes.
+# traffic in flight). Five runs of each (-count 5), so the record carries
+# a median and a spread. Recorded in results/BENCH_xring.json (+ raw
+# text). Commit the JSON when the merge or migration path changes.
 bench-xring:
 	mkdir -p results
-	{ $(GO) test -run '^$$' -bench 'XRing(Split|Merged)Delivery' -benchtime 20000x -benchmem ./internal/daemon ; \
-	  $(GO) test -run '^$$' -bench 'XRingMigrationBlackout' -benchtime 200x -benchmem ./internal/daemon ; } \
+	{ $(GO) test -run '^$$' -bench 'XRing(Split|Merged)Delivery' -benchtime 20000x -count 5 -benchmem ./internal/daemon ; \
+	  $(GO) test -run '^$$' -bench 'XRingMigrationBlackout' -benchtime 200x -count 5 -benchmem ./internal/daemon ; } \
 	  | tee results/BENCH_xring.txt | $(GO) run ./cmd/benchjson > results/BENCH_xring.json
 
 # Quick variant for CI: short passes, throwaway output.
@@ -98,6 +99,20 @@ bench-shard:
 # Quick variant for CI: thinned measurement windows, throwaway output dir.
 bench-shard-smoke:
 	$(GO) run ./cmd/ringbench -figure shard -quick -out /tmp/accelring-bench-shard
+
+# The ordering-path benchmark (ringperf, its own module): every workload
+# of BENCHMARK.json end to end over real loopback UDP, one JSON result
+# line at the end.
+perf:
+	bash ringperf/run.sh --workload all --seconds 36 --trace 0
+
+# Quick variant for CI: short passes; fails unless the delivery checker
+# passed (one merged global order, exactly-once, per-sender-per-ring
+# FIFO, no failed messages), i.e. the result line has "correct":true.
+perf-smoke:
+	mkdir -p .bench_build
+	bash ringperf/run.sh --workload all --seconds 8 --trace 0 | tee .bench_build/perf-smoke.txt
+	tail -n 1 .bench_build/perf-smoke.txt | grep -q '"correct":true'
 
 # Replay one chaos seed: make chaos FAULTS_SEED=17
 chaos:

@@ -77,9 +77,11 @@ type Node struct {
 
 	// merger reunifies the per-ring ordered streams into one global
 	// delivery order when Shards > 1 (nil otherwise); pacerStop ends its
-	// lambda-pacing goroutine.
+	// lambda-pacing goroutine. ringsUp closes once OpenConfig stored rings
+	// (or failed); submissions spawned by earlier ring events wait on it.
 	merger    *merge.Merger
 	pacerStop chan struct{}
+	ringsUp   chan struct{}
 
 	mu        sync.Mutex
 	table     *group.ShardedTable
@@ -145,6 +147,7 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 				Msg: obs.NewMsgTracer(cfg.TraceSampling, 0),
 			}
 		}
+		n.ringsUp = make(chan struct{})
 		g, err := shard.Start(shard.Config{
 			Shards:       cfg.Shards,
 			Base:         base,
@@ -152,10 +155,11 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 			OnEvent:      n.onRingEvent,
 			TraceDepth:   cfg.TraceDepth,
 		})
+		n.rings = g
+		close(n.ringsUp)
 		if err != nil {
 			return nil, err
 		}
-		n.rings = g
 		if cfg.Observer != nil {
 			n.tracers = make([]*obs.RingTracer, cfg.Shards)
 			for r := range n.tracers {
@@ -164,7 +168,13 @@ func OpenConfig(ctx context.Context, cfg Config) (*Node, error) {
 			n.tracer = n.tracers[0]
 		}
 		n.pacerStop = make(chan struct{})
-		go n.skipPacer(cfg.SkipInterval)
+		go func() {
+			tick := time.NewTicker(cfg.SkipInterval)
+			defer tick.Stop()
+			n.merger.Pace(tick.C, n.pacerStop, func(ring int, enc []byte) error {
+				return g.Submit(ring, enc, evs.Agreed)
+			})
+		}()
 		return n, nil
 	}
 
@@ -553,43 +563,18 @@ func (o nodeMergeOut) SubmitAsync(ring int, env group.Envelope) {
 	if err != nil {
 		return
 	}
-	rings := o.n.rings
 	// Off the emission goroutine: Submit is a blocking round trip to the
 	// ring's protocol goroutine, which may be the very one emitting.
-	go func() { _ = rings.Submit(ring, enc, evs.Agreed) }()
+	go func() {
+		if <-o.n.ringsUp; o.n.rings != nil {
+			_ = o.n.rings.Submit(ring, enc, evs.Agreed)
+		}
+	}()
 }
 
 func (o nodeMergeOut) Migrated(g string, from, to int) {
 	// The re-home itself happened in the shared table at this ordered
 	// point; the application sees the group's traffic continue seamlessly.
-}
-
-// skipPacer is the merge's lambda-pacing loop: every interval it asks the
-// merger which idle rings block the global order and, for each ring this
-// node represents, orders a skip claim on it. Skips are ordinary ordered
-// envelopes, so every node applies the same claims at the same per-ring
-// positions.
-func (n *Node) skipPacer(interval time.Duration) {
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var wants []merge.Want
-	for {
-		select {
-		case <-n.pacerStop:
-			return
-		case <-tick.C:
-		}
-		wants = n.merger.Wants(wants)
-		for _, w := range wants {
-			env := n.merger.SkipEnvelope(w)
-			if enc, err := env.Encode(); err == nil {
-				_ = n.rings.Submit(w.Ring, enc, evs.Agreed)
-			}
-		}
-	}
 }
 
 // migrateTimeout bounds how long Migrate waits for the ordered close.

@@ -75,7 +75,7 @@ func run(args []string) error {
 	sloBurn := fs.Float64("slo-burn", 0, "burn-rate factor at or above which an SLO scope is breaching (0 = default 1.0)")
 	shards := fs.Int("shards", 1, "independent rings per daemon; ring r uses every base port + stride*r (numeric ports required)")
 	stride := fs.Int("shard-stride", 2, "port gap between consecutive rings of a sharded daemon (all daemons must agree)")
-	skipInterval := fs.Duration("skip-interval", 0, "cross-ring merge lambda-pacing tick: how often idle rings blocking the global order are skipped (0 = default 2ms; shards > 1 only)")
+	skipInterval := fs.Duration("skip-interval", 0, "cross-ring merge fallback skip tick: the sender of a blocked message claims the idle ring at once; any blocked member claims every interval (0 = default 2ms; shards > 1 only)")
 	skipAhead := fs.Uint64("skip-ahead", 0, "virtual slots each cross-ring skip claims past the blocked head (0 = merge default; shards > 1 only)")
 	mcast := fs.String("mcast", "", "IPv4 multicast group for the data path, e.g. 239.1.1.7:5100 (empty keeps unicast fan-out; all daemons must agree)")
 	mcastTTL := fs.Int("mcast-ttl", 1, "IP_MULTICAST_TTL for outgoing multicast data (1 = link-local)")

@@ -86,12 +86,12 @@ type Config struct {
 	// Wire.ShardStride*r.
 	Shards int
 
-	// SkipInterval is the lambda-pacing tick of the cross-ring merge
-	// (Shards > 1 only): how often the node checks for idle rings that
-	// block the global delivery order and, when it is the blocked ring's
-	// representative, orders a skip claim on it (default 2ms). Smaller
-	// values cut the latency a busy ring's messages wait on an idle
-	// one; larger values cut skip traffic.
+	// SkipInterval is the fallback tick of the cross-ring merge's skip
+	// pacing (Shards > 1 only; default 2ms). When an idle ring blocks the
+	// global delivery order, the node that sent the blocked head claims a
+	// skip on it at once; every other blocked member of the idle ring
+	// claims on this tick, which covers lost claims, partitions,
+	// configuration-change heads and senders outside the idle ring.
 	SkipInterval time.Duration
 	// SkipAhead is how many virtual slots past the blocked head each
 	// skip claims (default 32). Larger values cut skip traffic on quiet

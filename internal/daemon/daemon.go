@@ -77,12 +77,12 @@ type Config struct {
 	// NewTransport opens ring r's transport binding; required when
 	// Shards > 1 (each ring needs its own ports), ignored otherwise.
 	NewTransport func(ring int) (transport.Transport, error)
-	// SkipInterval is the lambda-pacing tick of the cross-ring merge
-	// (Shards > 1 only): how often the daemon checks for idle rings that
-	// block the global order and, when it is the blocked ring's
-	// representative, orders a skip claim on it (default 2ms). Smaller
-	// values cut the latency a busy ring's messages wait on an idle one;
-	// larger values cut skip traffic.
+	// SkipInterval is the fallback tick of the cross-ring merge's skip
+	// pacing (Shards > 1 only; default 2ms). When an idle ring blocks the
+	// global order, the daemon that sent the blocked head claims a skip
+	// on it at once; every other blocked member of the idle ring claims
+	// on this tick, which covers lost claims, partitions,
+	// configuration-change heads and senders outside the idle ring.
 	SkipInterval time.Duration
 	// SkipAhead is how many virtual slots past the blocked head each
 	// skip claims (default merge.DefaultSkipAhead).
@@ -148,9 +148,11 @@ type Daemon struct {
 
 	// merger reunifies the per-ring ordered streams into one global
 	// delivery order when Shards > 1 (nil otherwise); pacerStop ends
-	// its lambda-pacing goroutine.
+	// its lambda-pacing goroutine. ringsUp closes once Start stored rings
+	// (or failed); submissions spawned by earlier ring events wait on it.
 	merger    *merge.Merger
 	pacerStop chan struct{}
+	ringsUp   chan struct{}
 
 	mu        sync.Mutex
 	clients   map[uint32]*clientConn
@@ -297,19 +299,28 @@ func Start(cfg Config) (*Daemon, error) {
 			SkipAhead: cfg.SkipAhead,
 			Obs:       cfg.Obs,
 		})
+		d.ringsUp = make(chan struct{})
 		g, err := shard.Start(shard.Config{
 			Shards:       shards,
 			Base:         cfg.Ring,
 			NewTransport: cfg.NewTransport,
 			OnEvent:      d.onRingEvent,
 		})
+		d.rings = g
+		close(d.ringsUp)
 		if err != nil {
 			return nil, err
 		}
-		d.rings = g
 		d.pacerStop = make(chan struct{})
 		d.wg.Add(1)
-		go d.skipPacer()
+		go func() {
+			defer d.wg.Done()
+			tick := time.NewTicker(cfg.SkipInterval)
+			defer tick.Stop()
+			d.merger.Pace(tick.C, d.pacerStop, func(ring int, enc []byte) error {
+				return d.submit(ring, enc, evs.Agreed)
+			})
+		}()
 	} else {
 		ringCfg := cfg.Ring
 		ringCfg.OnEvent = func(ev evs.Event) { d.onRingEvent(0, ev) }
@@ -952,39 +963,15 @@ func (o mergeOut) SubmitAsync(ring int, env group.Envelope) {
 	}
 	// Off the emission goroutine: Submit is a blocking round trip to the
 	// ring's protocol goroutine, which may be the very one emitting.
-	go func() { _ = o.d.submit(ring, enc, evs.Agreed) }()
+	go func() {
+		if <-o.d.ringsUp; o.d.rings != nil {
+			_ = o.d.submit(ring, enc, evs.Agreed)
+		}
+	}()
 }
 
 func (o mergeOut) Migrated(g string, from, to int) {
 	o.d.flight("migrated "+g, 0, to)
-}
-
-// skipPacer is the merge's lambda-pacing loop: every SkipInterval it asks
-// the merger which idle rings block the global order and, for each ring
-// this daemon represents, orders a skip claim on it. Skips are ordinary
-// ordered envelopes, so every daemon applies the same claims at the same
-// per-ring positions.
-func (d *Daemon) skipPacer() {
-	defer d.wg.Done()
-	tick := time.NewTicker(d.cfg.SkipInterval)
-	defer tick.Stop()
-	var wants []merge.Want
-	for {
-		select {
-		case <-d.pacerStop:
-			return
-		case <-tick.C:
-		}
-		wants = d.merger.Wants(wants)
-		for _, w := range wants {
-			env := d.merger.SkipEnvelope(w)
-			enc, err := env.Encode()
-			if err != nil {
-				continue
-			}
-			_ = d.submit(w.Ring, enc, evs.Agreed)
-		}
-	}
 }
 
 // migrateTimeout bounds how long Migrate waits for the ordered close.

@@ -211,6 +211,10 @@ func TestMetricsNamesLintSharded(t *testing.T) {
 		// Cross-ring merge, scoped per ring.
 		"accelring_merge_emitted",
 		"accelring_merge_pending",
+		// The skip-claim mix: eager blocked-edge claims and ordered skips
+		// that raised no frontier.
+		"accelring_merge_skips_eager",
+		"accelring_merge_skips_redundant",
 		`accelring_merge_frontier{ring="0"}`,
 		`accelring_merge_frontier{ring="1"}`,
 		`accelring_ring_rounds{ring="0"}`,

@@ -12,11 +12,10 @@ package daemon
 //     traffic in flight: ns/op IS the blackout window (Begin submitted →
 //     globally ordered close emitted locally).
 //
-// The merged benchmarks tighten the lambda pacing (SkipInterval 100µs,
-// SkipAhead 256) the way a throughput-tuned deployment would, so the
-// figure measures merge bookkeeping rather than the idle-ring pacing
-// interval. Run via `make bench-xring`, committed as
-// results/BENCH_xring.json.
+// Every benchmark runs the default daemon configuration (SkipInterval
+// 2ms, SkipAhead 32): the sender's eager skip claim, not a tightened
+// pacing tick, is what keeps the merged path moving. Run via
+// `make bench-xring`, committed as results/BENCH_xring.json.
 
 import (
 	"fmt"
@@ -27,12 +26,6 @@ import (
 	"accelring/internal/evs"
 	"accelring/internal/shard"
 )
-
-// xringTune is the pacing configuration the merged benchmarks run with.
-func xringTune(cfg *Config) {
-	cfg.SkipInterval = 100 * time.Microsecond
-	cfg.SkipAhead = 256
-}
 
 // drainCount consumes the client's event stream, signalling done when
 // `want` messages have arrived.
@@ -53,7 +46,7 @@ func drainCount(c *client.Client, want int, done chan<- struct{}) {
 // message. With shards > 1 the subscriber's groups span the rings, so
 // every delivery flows through the cross-ring merger.
 func benchDelivery(b *testing.B, shards int) {
-	daemons := startShardedDaemonsCfg(b, 2, shards, xringTune)
+	daemons := startShardedDaemons(b, 2, shards)
 	pub := dial(b, daemons[0], "pub")
 	sub := dial(b, daemons[1], "sub")
 	groups := []string{"g-0"}
@@ -98,7 +91,7 @@ func BenchmarkXRingMergedDelivery(b *testing.B) { benchDelivery(b, 2) }
 // the ordered close, re-home the membership state, replay the buffered
 // target-ring traffic. ns/op is the migration blackout window.
 func BenchmarkXRingMigrationBlackout(b *testing.B) {
-	daemons := startShardedDaemonsCfg(b, 2, 2, xringTune)
+	daemons := startShardedDaemons(b, 2, 2)
 	g := "g-0"
 	alice := dial(b, daemons[0], "alice")
 	bob := dial(b, daemons[1], "bob")

@@ -78,6 +78,34 @@ func TestShardedGlobalOrderAcrossGroups(t *testing.T) {
 	}
 }
 
+// TestEagerSkipClaim pins the blocked-edge claim end to end: with the
+// fallback tick pushed out to a minute, a message on one ring still
+// reaches a subscriber of both rings within seconds while the other ring
+// is idle, because the sender's daemon claims the gap the moment its own
+// message blocks the merge.
+func TestEagerSkipClaim(t *testing.T) {
+	daemons := startShardedDaemonsCfg(t, 3, 2, func(c *Config) { c.SkipInterval = time.Minute })
+	gA, gB := "g-0", "g-1" // ring 1 and ring 0 by the pinned hash
+	alice := dial(t, daemons[0], "alice")
+	for _, g := range []string{gA, gB} {
+		if err := alice.Join(g); err != nil {
+			t.Fatal(err)
+		}
+		nextView(t, alice, g, 5*time.Second)
+	}
+	bob := dial(t, daemons[1], "bob")
+	// Alternate rings, so each send finds the other ring idle.
+	for k, g := range []string{gA, gB, gA, gB} {
+		payload := fmt.Sprintf("%s/%d", g, k)
+		if err := bob.Multicast(evs.Agreed, []byte(payload), g); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(nextMessage(t, alice, 5*time.Second).Payload); got != payload {
+			t.Fatalf("delivered %q, want %q", got, payload)
+		}
+	}
+}
+
 // TestShardedMigrateUnderLoad drives Daemon.Migrate while senders keep
 // publishing into the migrating group: the handoff must lose nothing,
 // duplicate nothing, preserve one identical delivery order on every

@@ -91,9 +91,7 @@ type xnode struct {
 	// announcements) awaiting a successful machine submit; kept FIFO so
 	// an ack never overtakes the traffic it drains.
 	pending []xctl
-	// wants is the reusable Wants scratch; migClosed counts Migrated
-	// callbacks.
-	wants     []merge.Want
+	// migClosed counts Migrated callbacks.
 	migClosed int
 }
 
@@ -171,8 +169,9 @@ func (x *xrun) feed() {
 }
 
 // pace is one lambda-pacing round: flush each live node's queued control
-// envelopes (retrying refused submits, in order), then submit the skip
-// claims the node's merger wants where this node is the representative.
+// envelopes (retrying refused submits, in order), then run the merger's
+// own pacing step — the eager claim if a feed raised Blocked, then the
+// fallback tick — exactly as merge.Pace does in a daemon.
 func (x *xrun) pace() {
 	for _, n := range x.nodes {
 		if n.dead {
@@ -186,19 +185,20 @@ func (x *xrun) pace() {
 			}
 		}
 		n.pending = keep
-		n.wants = n.merger.Wants(n.wants)
-		for _, w := range n.wants {
-			env := n.merger.SkipEnvelope(w)
-			enc, err := env.Encode()
-			if err != nil {
-				panic("chaos: skip envelope: " + err.Error())
+		// A refused skip is simply dropped: a later tick re-claims it
+		// after its suppression window.
+		submit := func(ring int, enc []byte) error {
+			if m := x.hs[ring].machines[n.id]; m != nil {
+				return m.Submit(enc, evs.Agreed)
 			}
-			// A refused skip is simply dropped: Wants re-requests it
-			// after its suppression window.
-			if m := x.hs[w.Ring].machines[n.id]; m != nil {
-				_ = m.Submit(enc, evs.Agreed)
-			}
+			return nil
 		}
+		select {
+		case <-n.merger.Blocked():
+			n.merger.ClaimSkips(false, submit)
+		default:
+		}
+		n.merger.ClaimSkips(true, submit)
 	}
 }
 

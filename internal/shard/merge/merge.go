@@ -16,20 +16,22 @@
 // no clocks, no cross-daemon coordination.
 //
 // An idle ring would stall the merge (its next slot stays forever
-// pending), so blocked members emit skip envelopes on a short timer —
-// Multi-Ring Paxos lambda pacing. A skip is ordered on its ring like
-// any message but consumes no slot: it raises the ring's virtual frontier
-// to its Arg (max-merged, so duplicate or stale skips are harmless),
-// telling the merge "this ring will order nothing below Arg". Claims are
-// issued SkipAhead slots past the blocked head so a quiet ring does not
-// need one skip per foreign message, and any blocked member of the idle
-// ring may claim (blockedness is per-daemon after a partition, so a
-// designated claimer could deadlock). At every regular configuration
-// change each member announces its frontier with an OpFrontier anchored
-// to the change itself (receivers apply Arg plus the slots they consumed
-// since that change), which re-levels the frontiers of members that
-// diverged while partitioned EXACTLY within one announcement round, even
-// with traffic in flight.
+// pending), so blocked members order skip claims on it — Multi-Ring Paxos
+// lambda pacing. A skip is ordered on its ring like any message but
+// consumes no slot: it raises the ring's virtual frontier to its Arg
+// (max-merged, so duplicate or stale skips are harmless), telling the
+// merge "this ring will order nothing below Arg". Claims are issued
+// SkipAhead slots past the blocked head so a quiet ring does not need one
+// skip per foreign message. The daemon that sent the blocked head claims
+// at once, woken by Blocked; every blocked member of the idle ring claims
+// on the caller's fallback tick (blockedness is per-daemon after a
+// partition, so a designated claimer alone could deadlock). ClaimSkips,
+// run by Pace, is the one pacing implementation. At every regular
+// configuration change each member announces its frontier with an
+// OpFrontier anchored to the change itself (receivers apply Arg plus the
+// slots they consumed since that change), which re-levels the frontiers
+// of members that diverged while partitioned EXACTLY within one
+// announcement round, even with traffic in flight.
 //
 // # What is globally ordered, what is per-ring
 //
@@ -75,6 +77,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"accelring/internal/evs"
 	"accelring/internal/group"
@@ -86,8 +89,8 @@ import (
 // quiet ring's next real message order later relative to busy rings.
 const DefaultSkipAhead = 32
 
-// skipRetryTicks is how many Wants calls a submitted skip suppresses
-// re-requesting the same ring before it is considered lost and retried.
+// skipRetryTicks is how many fallback ticks a submitted skip suppresses
+// re-claiming the same ring before it is considered lost and retried.
 const skipRetryTicks = 8
 
 // Out receives the merger's globally ordered output. All methods are
@@ -155,8 +158,10 @@ type ringState struct {
 	// deterministic timeline.
 	cfg     evs.Configuration
 	haveCfg bool
-	// pendingSkipTarget/pendingSkipAge suppress duplicate skip requests
-	// while one is in flight.
+	// member is whether Self is in cfg: only members can order a claim.
+	member bool
+	// pendingSkipTarget/pendingSkipAge suppress duplicate skip claims
+	// while one is in flight; the age counts fallback ticks.
 	pendingSkipTarget uint64
 	pendingSkipAge    int
 }
@@ -202,14 +207,19 @@ type Merger struct {
 	// byte-unique (as Sender.Local), so retried or re-announced skips and
 	// acks are never mistaken for duplicate deliveries of one message.
 	ctlSeq uint32
+	// blocked wakes the pacer when the merge blocks on a gap this daemon
+	// claims eagerly (buffered 1; raised without blocking).
+	blocked chan struct{}
 
-	emitted    *obs.Counter
-	skipsRx    *obs.Counter
-	migStarted *obs.Counter
-	migClosed  *obs.Counter
-	pending    *obs.Gauge
-	bufferedG  *obs.Gauge
-	migrating  *obs.Gauge
+	emitted        *obs.Counter
+	skipsRx        *obs.Counter
+	skipsEager     *obs.Counter
+	skipsRedundant *obs.Counter
+	migStarted     *obs.Counter
+	migClosed      *obs.Counter
+	pending        *obs.Gauge
+	bufferedG      *obs.Gauge
+	migrating      *obs.Gauge
 	// frontG publishes each ring's virtual frontier as a gauge
 	// (shardN.merge.frontier); the health detector compares them across
 	// passes to flag a ring whose frontier stopped while peers advance.
@@ -230,20 +240,23 @@ func New(cfg Config) *Merger {
 		frontG[ri] = cfg.Obs.Gauge(fmt.Sprintf("shard%d.merge.frontier", ri))
 	}
 	return &Merger{
-		cfg:        cfg,
-		ahead:      ahead,
-		rings:      make([]ringState, cfg.Shards),
-		migs:       make(map[string]*migration),
-		migEpoch:   make(map[string]uint64),
-		notify:     make(map[string][]chan struct{}),
-		emitted:    cfg.Obs.Counter("merge.emitted"),
-		skipsRx:    cfg.Obs.Counter("merge.skips_applied"),
-		migStarted: cfg.Obs.Counter("merge.migrations_started"),
-		migClosed:  cfg.Obs.Counter("merge.migrations_closed"),
-		pending:    cfg.Obs.Gauge("merge.pending"),
-		bufferedG:  cfg.Obs.Gauge("merge.buffered"),
-		migrating:  cfg.Obs.Gauge("merge.migrating"),
-		frontG:     frontG,
+		cfg:            cfg,
+		ahead:          ahead,
+		rings:          make([]ringState, cfg.Shards),
+		migs:           make(map[string]*migration),
+		migEpoch:       make(map[string]uint64),
+		notify:         make(map[string][]chan struct{}),
+		blocked:        make(chan struct{}, 1),
+		emitted:        cfg.Obs.Counter("merge.emitted"),
+		skipsRx:        cfg.Obs.Counter("merge.skips_applied"),
+		skipsEager:     cfg.Obs.Counter("merge.skips_eager"),
+		skipsRedundant: cfg.Obs.Counter("merge.skips_redundant"),
+		migStarted:     cfg.Obs.Counter("merge.migrations_started"),
+		migClosed:      cfg.Obs.Counter("merge.migrations_closed"),
+		pending:        cfg.Obs.Gauge("merge.pending"),
+		bufferedG:      cfg.Obs.Gauge("merge.buffered"),
+		migrating:      cfg.Obs.Gauge("merge.migrating"),
+		frontG:         frontG,
 	}
 }
 
@@ -270,6 +283,8 @@ func (m *Merger) PushEnvelopeSeq(ring int, env *group.Envelope, svc evs.Service,
 			r.pendingSkipTarget = 0
 			m.skipsRx.Inc()
 			m.frontG[ring].Set(int64(r.front))
+		} else {
+			m.skipsRedundant.Inc()
 		}
 		m.drain()
 		return
@@ -341,29 +356,21 @@ func (m *Merger) PushConfig(ring int, cc evs.ConfigChange) {
 // (slot, ring) order. Called with m.mu held.
 func (m *Merger) drain() {
 	for {
-		best := -1
-		var bs uint64
-		for ri := range m.rings {
-			q := m.rings[ri].queue
-			if len(q) == 0 {
-				continue
-			}
-			if best < 0 || q[0].slot < bs {
-				best, bs = ri, q[0].slot
-			}
-		}
+		best, bs := m.head()
 		if best < 0 {
 			m.updatePending()
 			return
 		}
-		// The head is emittable only if every idle ring's next possible
-		// slot lies beyond it in (slot, ring) order.
+		// The head is emittable only if no idle ring's next possible slot
+		// precedes it in (slot, ring) order.
 		for qi := range m.rings {
-			if qi == best || len(m.rings[qi].queue) > 0 {
-				continue
-			}
-			lb := m.rings[qi].front + 1
-			if lb < bs || (lb == bs && qi < best) {
+			if m.blocks(qi, best, bs) {
+				if m.eager(qi, best, bs) {
+					select {
+					case m.blocked <- struct{}{}:
+					default:
+					}
+				}
 				m.updatePending()
 				return
 			}
@@ -381,6 +388,43 @@ func (m *Merger) drain() {
 			m.emitConfig(best, it.cc)
 		}
 	}
+}
+
+// head returns the ring holding the least queued item and that item's
+// slot, or -1 when every queue is empty. Called with m.mu held.
+func (m *Merger) head() (best int, bs uint64) {
+	best = -1
+	for ri := range m.rings {
+		q := m.rings[ri].queue
+		if len(q) == 0 {
+			continue
+		}
+		if best < 0 || q[0].slot < bs {
+			best, bs = ri, q[0].slot
+		}
+	}
+	return best, bs
+}
+
+// blocks reports whether ring qi is idle and its next possible slot
+// precedes the head (slot bs on ring best) in (slot, ring) order. Called
+// with m.mu held.
+func (m *Merger) blocks(qi, best int, bs uint64) bool {
+	if qi == best || len(m.rings[qi].queue) > 0 {
+		return false
+	}
+	lb := m.rings[qi].front + 1
+	return lb < bs || (lb == bs && qi < best)
+}
+
+// eager reports whether this daemon claims the gap idle ring qi leaves
+// under the head (slot bs on ring best) at once, rather than on the
+// fallback tick: it sent the head envelope, it is a member of qi, and no
+// claim covering the head is in flight. Called with m.mu held.
+func (m *Merger) eager(qi, best int, bs uint64) bool {
+	env := m.rings[best].queue[0].env
+	return env != nil && env.Sender.Daemon == m.cfg.Self &&
+		m.rings[qi].member && m.rings[qi].pendingSkipTarget < bs+m.ahead
 }
 
 func (m *Merger) updatePending() {
@@ -555,6 +599,7 @@ func (m *Merger) emitConfig(ring int, cc evs.ConfigChange) {
 		for _, p := range cc.Config.Members {
 			present[p] = true
 		}
+		r.member = present[m.cfg.Self]
 		// Waive required acks from members that left the source ring:
 		// extended virtual synchrony flushed whatever they had ordered
 		// before this change, so there is nothing left to drain.
@@ -603,74 +648,68 @@ func (m *Merger) sortedMigrations() []*migration {
 	return out
 }
 
-// Want is one skip submission that would unblock the merge: ring's
-// representative (us) should order a skip claiming Target.
-type Want struct {
-	Ring   int
-	Target uint64
-}
+// Blocked fires when the merge blocks on a gap this daemon claims
+// eagerly: its own head envelope is held back by an idle ring it is a
+// member of, with no claim in flight. Answer with ClaimSkips(false, ...).
+func (m *Merger) Blocked() <-chan struct{} { return m.blocked }
 
-// Wants reports the skips this daemon should submit right now: for every
-// idle ring that blocks OUR current head, a claim SkipAhead past the
-// head. Any blocked member of the idle ring may claim — blockedness is a
-// per-daemon condition (partition-era frontier divergence can leave one
-// daemon's merge blocked where another's, including the ring
-// representative's, is not), so waiting on a designated claimer would
-// deadlock. Claims max-merge, so concurrent claimers are harmless.
-// Recently requested rings are suppressed until the in-flight skip lands
-// or skipRetryTicks calls pass, so a slow pacer tick doesn't flood rings
-// with duplicates.
-func (m *Merger) Wants(dst []Want) []Want {
-	dst = dst[:0]
+// ClaimSkips is the one skip-pacing step: through submit, it orders a
+// claim SkipAhead past the head on idle rings that block the head. On a
+// blocked-edge wake-up (tick false) only the head's sender claims; on a
+// fallback tick every blocked member claims (lost claims, partitions,
+// configuration-change heads, senders outside the idle ring), and
+// concurrent claims max-merge. A claim in flight suppresses its ring
+// until it lands or skipRetryTicks ticks pass. submit runs without the
+// lock (it may wait on the emitting ring goroutine); a failed submit is
+// retried by a later tick.
+func (m *Merger) ClaimSkips(tick bool, submit func(ring int, enc []byte) error) {
+	type claim struct {
+		ring int
+		enc  []byte
+	}
+	var claims []claim
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	best := -1
-	var bs uint64
-	for ri := range m.rings {
-		q := m.rings[ri].queue
-		if len(q) == 0 {
-			continue
-		}
-		if best < 0 || q[0].slot < bs {
-			best, bs = ri, q[0].slot
-		}
-	}
-	if best < 0 {
-		return dst
-	}
-	for qi := range m.rings {
-		if qi == best || len(m.rings[qi].queue) > 0 {
-			continue
-		}
-		r := &m.rings[qi]
-		lb := r.front + 1
-		if !(lb < bs || (lb == bs && qi < best)) {
-			continue // not blocking
-		}
-		member := false
-		if r.haveCfg {
-			for _, p := range r.cfg.Members {
-				if p == m.cfg.Self {
-					member = true
-					break
-				}
-			}
-		}
-		if !member {
-			continue // cannot order a claim on a ring we are not part of
-		}
-		target := bs + m.ahead
-		if r.pendingSkipTarget >= target {
-			if r.pendingSkipAge < skipRetryTicks {
-				r.pendingSkipAge++
+	if best, bs := m.head(); best >= 0 {
+		for qi := range m.rings {
+			r := &m.rings[qi]
+			if !r.member || !m.blocks(qi, best, bs) || !tick && !m.eager(qi, best, bs) {
 				continue
 			}
+			target := bs + m.ahead
+			if r.pendingSkipTarget >= target && r.pendingSkipAge < skipRetryTicks {
+				r.pendingSkipAge++ // ticks only: eager excludes claims in flight
+				continue
+			}
+			env := group.Envelope{Kind: group.OpSkip, Sender: m.ctlSender(), Arg: target}
+			if enc, err := env.Encode(); err == nil {
+				r.pendingSkipTarget, r.pendingSkipAge = target, 0
+				if !tick {
+					m.skipsEager.Inc()
+				}
+				claims = append(claims, claim{qi, enc})
+			}
 		}
-		r.pendingSkipTarget = target
-		r.pendingSkipAge = 0
-		dst = append(dst, Want{Ring: qi, Target: target})
 	}
-	return dst
+	m.mu.Unlock()
+	for _, c := range claims {
+		_ = submit(c.ring, c.enc)
+	}
+}
+
+// Pace runs skip pacing until stop closes: an eager claim on every
+// Blocked wake-up, a fallback round on every tick. The caller owns the
+// clock (tick is its SkipInterval ticker), so the merger never reads it.
+func (m *Merger) Pace(tick <-chan time.Time, stop <-chan struct{}, submit func(ring int, enc []byte) error) {
+	for {
+		select {
+		case <-stop:
+			return
+		case <-m.blocked:
+			m.ClaimSkips(false, submit)
+		case <-tick:
+			m.ClaimSkips(true, submit)
+		}
+	}
 }
 
 // ctlSender allocates the sender identity of one merger-originated
@@ -679,17 +718,6 @@ func (m *Merger) Wants(dst []Want) []Want {
 func (m *Merger) ctlSender() group.ClientID {
 	m.ctlSeq++
 	return group.ClientID{Daemon: m.cfg.Self, Local: m.ctlSeq}
-}
-
-// SkipEnvelope builds the skip envelope for a Want.
-func (m *Merger) SkipEnvelope(w Want) group.Envelope {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return group.Envelope{
-		Kind:   group.OpSkip,
-		Sender: m.ctlSender(),
-		Arg:    w.Target,
-	}
 }
 
 // BeginEnvelope builds the MigrateBegin envelope moving g to ring `to`,

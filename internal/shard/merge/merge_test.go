@@ -7,6 +7,7 @@ import (
 
 	"accelring/internal/evs"
 	"accelring/internal/group"
+	"accelring/internal/obs"
 )
 
 // recOut records the merger's output in order and captures async submits
@@ -61,8 +62,7 @@ func msg(sender evs.ProcID, gs []string, payload string) *group.Envelope {
 	}
 }
 
-// pace simulates the representative's lambda pacing: a skip on ring
-// claiming up to slot target.
+// pace simulates an ordered skip claim on ring up to slot target.
 func pace(m *Merger, ring int, target uint64) {
 	skip := group.Envelope{Kind: group.OpSkip, Sender: group.ClientID{Daemon: 1}, Arg: target}
 	m.PushEnvelope(ring, &skip, evs.Agreed)
@@ -133,17 +133,20 @@ func TestSkipUnblocksIdleRing(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", got)
 	}
 
-	// We (daemon 1) are ring 0's representative: a skip is wanted.
-	wants := m.Wants(nil)
-	if len(wants) != 1 || wants[0].Ring != 0 {
-		t.Fatalf("wants = %+v, want one skip on ring 0", wants)
+	// The head is daemon 2's, so daemon 1 has no eager claim to make; its
+	// fallback tick claims as a blocked member of ring 0.
+	if got := claimRound(t, m, false); len(got) != 0 {
+		t.Fatalf("eager step claimed for a foreign head: %+v", got)
 	}
-	// Wants suppresses an immediate duplicate.
-	if again := m.Wants(nil); len(again) != 0 {
-		t.Fatalf("duplicate want not suppressed: %+v", again)
+	got := claimRound(t, m, true)
+	if len(got) != 1 || got[0].ring != 0 {
+		t.Fatalf("claims = %+v, want one skip on ring 0", got)
 	}
-	env := m.SkipEnvelope(wants[0])
-	m.PushEnvelope(0, &env, evs.Agreed)
+	// A claim in flight suppresses an immediate duplicate.
+	if again := claimRound(t, m, true); len(again) != 0 {
+		t.Fatalf("duplicate claim not suppressed: %+v", again)
+	}
+	m.PushEnvelope(0, got[0].env, evs.Agreed)
 	if got := out.events[n:]; !reflect.DeepEqual(got, []string{"d1:message:b1"}) {
 		t.Fatalf("after skip got %v", got)
 	}
@@ -156,26 +159,163 @@ func TestSkipUnblocksIdleRing(t *testing.T) {
 	}
 }
 
-// TestWantsOnlyForMembers: any blocked member of the idle ring may claim
-// skips (a designated claimer could deadlock after a partition, since
-// blockedness is per-daemon), but a daemon outside the ring's
-// configuration must not volunteer — it could not order the claim anyway.
-func TestWantsOnlyForMembers(t *testing.T) {
-	m, _, _ := newTestMerger(t, 2, 2) // self = 2, a member but not representative
+// TestClaimsOnlyForMembers: any blocked member of the idle ring claims
+// on the fallback tick (a designated claimer could deadlock after a
+// partition, since blockedness is per-daemon), but a daemon outside the
+// ring's configuration must not volunteer — it could not order the
+// claim anyway.
+func TestClaimsOnlyForMembers(t *testing.T) {
+	m, _, _ := newTestMerger(t, 2, 2) // self = 2, a member but not the lowest
 	m.PushConfig(0, cfgChange(1, 2))
 	m.PushConfig(1, cfgChange(1, 2))
 	m.PushEnvelope(1, msg(2, []string{"b"}, "b1"), evs.Agreed)
-	if wants := m.Wants(nil); len(wants) != 1 || wants[0].Ring != 0 {
-		t.Fatalf("blocked member did not claim the idle ring: %+v", wants)
+	if got := claimRound(t, m, true); len(got) != 1 || got[0].ring != 0 {
+		t.Fatalf("blocked member did not claim the idle ring: %+v", got)
 	}
 
 	out, _, _ := newTestMerger(t, 2, 3) // self = 3, not in ring 0's config
 	out.PushConfig(0, cfgChange(1, 2))
 	out.PushConfig(1, cfgChange(1, 2, 3))
-	out.PushEnvelope(1, msg(2, []string{"b"}, "b1"), evs.Agreed)
-	if wants := out.Wants(nil); len(wants) != 0 {
-		t.Fatalf("non-member volunteered skips: %+v", wants)
+	out.PushEnvelope(1, msg(3, []string{"b"}, "b1"), evs.Agreed)
+	for _, tick := range []bool{false, true} {
+		if got := claimRound(t, out, tick); len(got) != 0 {
+			t.Fatalf("non-member volunteered skips (tick %v): %+v", tick, got)
+		}
 	}
+}
+
+// blockedRaised reports (and consumes) a pending Blocked wake-up.
+func blockedRaised(m *Merger) bool {
+	select {
+	case <-m.Blocked():
+		return true
+	default:
+		return false
+	}
+}
+
+// TestBlockedSignal pins when the merge wakes the pacer for an eager
+// claim: only when our own head envelope is held back by an idle ring we
+// are a member of. Everything else waits for the fallback tick.
+func TestBlockedSignal(t *testing.T) {
+	cases := []struct {
+		name string
+		self evs.ProcID
+		feed func(m *Merger)
+		want bool
+	}{
+		{"own head blocked by idle member ring", 1, func(m *Merger) {
+			m.PushEnvelope(1, msg(1, []string{"b"}, "b1"), evs.Agreed)
+		}, true},
+		{"foreign head", 1, func(m *Merger) {
+			m.PushEnvelope(1, msg(2, []string{"b"}, "b1"), evs.Agreed)
+		}, false},
+		{"configuration-change head", 1, func(m *Merger) {
+			m.PushConfig(1, cfgChange(1, 2))
+		}, false},
+		{"not a member of the idle ring", 3, func(m *Merger) {
+			m.PushConfig(1, cfgChange(1, 2, 3))
+			m.PushEnvelope(1, msg(3, []string{"b"}, "b1"), evs.Agreed)
+		}, false},
+		{"empty queues", 1, func(m *Merger) {
+			skip := group.Envelope{Kind: group.OpSkip, Sender: group.ClientID{Daemon: 1}, Arg: 5}
+			m.PushEnvelope(0, &skip, evs.Agreed)
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _, _ := newTestMerger(t, 2, tc.self)
+			m.PushConfig(0, cfgChange(1, 2))
+			m.PushConfig(1, cfgChange(1, 2))
+			if blockedRaised(m) {
+				t.Fatal("signal raised while merging configuration changes")
+			}
+			tc.feed(m)
+			if got := blockedRaised(m); got != tc.want {
+				t.Fatalf("Blocked raised = %v, want %v (pending %d)", got, tc.want, m.Pending())
+			}
+			if n := len(claimRound(t, m, false)); (n == 1) != tc.want || n > 1 {
+				t.Fatalf("eager step made %d claims, want eager=%v", n, tc.want)
+			}
+		})
+	}
+}
+
+// TestEagerClaimSuppression: a burst of blocked-edge wake-ups never
+// re-issues a claim still in flight, and only fallback ticks age it — a
+// lost claim is retried after skipRetryTicks ticks, no matter how often
+// the eager path polled in between.
+func TestEagerClaimSuppression(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := New(Config{Shards: 2, Self: 1, Table: group.NewShardedTable(2), Out: &recOut{}, Obs: reg})
+	m.PushConfig(0, cfgChange(1, 2))
+	m.PushConfig(1, cfgChange(1, 2))
+	m.PushEnvelope(1, msg(1, []string{"b"}, "b1"), evs.Agreed)
+	if !blockedRaised(m) {
+		t.Fatal("own blocked head raised no wake-up")
+	}
+	first := claimRound(t, m, false)
+	if len(first) != 1 || first[0].ring != 0 || first[0].env.Arg != 2+DefaultSkipAhead {
+		t.Fatalf("eager claim = %+v, want one skip on ring 0 to %d", first, 2+DefaultSkipAhead)
+	}
+	// The claim is lost. More own traffic (within the claim's reach)
+	// queues behind the blocked head, and the eager step is polled far
+	// more than skipRetryTicks times: nothing re-claims, nothing wakes.
+	for i := 0; i < 3*skipRetryTicks; i++ {
+		m.PushEnvelope(1, msg(1, []string{"b"}, "bx"), evs.Agreed)
+		if blockedRaised(m) {
+			t.Fatalf("wake-up %d raised with a claim in flight", i)
+		}
+		if got := claimRound(t, m, false); len(got) != 0 {
+			t.Fatalf("eager step %d re-issued an in-flight claim: %+v", i, got)
+		}
+	}
+	for i := 0; i < skipRetryTicks; i++ {
+		if got := claimRound(t, m, true); len(got) != 0 {
+			t.Fatalf("tick %d retried before skipRetryTicks: %+v", i+1, got)
+		}
+	}
+	retry := claimRound(t, m, true)
+	if len(retry) != 1 || retry[0].ring != 0 {
+		t.Fatalf("tick %d did not retry the lost claim: %+v", skipRetryTicks+1, retry)
+	}
+	// The retry lands; the lost original arrives late and raises nothing.
+	m.PushEnvelope(0, retry[0].env, evs.Agreed)
+	m.PushEnvelope(0, first[0].env, evs.Agreed)
+	if got := m.Pending(); got != 0 {
+		t.Fatalf("pending = %d after the claim landed, want 0", got)
+	}
+	if v := reg.Counter("merge.skips_eager").Value(); v != 1 {
+		t.Errorf("merge.skips_eager = %d, want 1", v)
+	}
+	if v := reg.Counter("merge.skips_redundant").Value(); v != 1 {
+		t.Errorf("merge.skips_redundant = %d, want 1", v)
+	}
+}
+
+// claimed is one skip claim captured from a pacing step.
+type claimed struct {
+	ring int
+	env  *group.Envelope
+}
+
+// claimRound runs one pacing step and returns the decoded claims it
+// submitted.
+func claimRound(t *testing.T, m *Merger, tick bool) []claimed {
+	t.Helper()
+	var got []claimed
+	m.ClaimSkips(tick, func(ring int, enc []byte) error {
+		env, err := group.DecodeEnvelope(enc)
+		if err != nil {
+			t.Fatalf("claim does not decode: %v", err)
+		}
+		if env.Kind != group.OpSkip {
+			t.Fatalf("claim kind = %v, want skip", env.Kind)
+		}
+		got = append(got, claimed{ring: ring, env: env})
+		return nil
+	})
+	return got
 }
 
 // TestMigrationHappyPath walks a 2-daemon migration: Begin flips the

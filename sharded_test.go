@@ -228,6 +228,49 @@ func TestShardedNodeOrder(t *testing.T) {
 	}
 }
 
+// TestShardedEagerSkipClaim: with the merge's fallback tick pushed out
+// to a minute, a send on one ring still reaches a node subscribed to
+// both rings within seconds while the other ring is idle — the sending
+// node claims the gap as soon as its own message blocks the merge.
+func TestShardedEagerSkipClaim(t *testing.T) {
+	nodes := openShardedCluster(t, 3, 2, func(c *Config) { c.SkipInterval = time.Minute })
+	gA, gB := "g-0", "g-1" // ring 1 and ring 0, pinned
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	next := func(match func(Event) bool) {
+		t.Helper()
+		for {
+			ev, err := nodes[0].Receive(ctx)
+			if err != nil {
+				t.Fatalf("node 1: %v", err)
+			}
+			if match(ev) {
+				return
+			}
+		}
+	}
+	for _, g := range []string{gA, gB} {
+		if err := nodes[0].Join(g); err != nil {
+			t.Fatal(err)
+		}
+		next(func(ev Event) bool { v, ok := ev.(*GroupView); return ok && v.Group == g })
+	}
+	// Alternate rings, so each send finds the other ring idle.
+	for k, g := range []string{gA, gB, gA, gB} {
+		payload := fmt.Sprintf("%s/%d", g, k)
+		if err := nodes[1].Send(Agreed, []byte(payload), g); err != nil {
+			t.Fatal(err)
+		}
+		next(func(ev Event) bool {
+			m, ok := ev.(*Message)
+			if ok && string(m.Payload) != payload {
+				t.Fatalf("delivered %q, want %q", m.Payload, payload)
+			}
+			return ok
+		})
+	}
+}
+
 // TestShardedViewChangeRings checks that every ring announces its own
 // tagged ViewChange and per-ring views are queryable.
 func TestShardedViewChangeRings(t *testing.T) {
